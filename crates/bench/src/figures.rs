@@ -12,11 +12,12 @@
 //! - Sec. 3.2: VF counts.
 //! - Sec. 2.2/2.3: the isolation matrix (attack suite).
 
+use crate::runner;
 use mts_core::results::ThroughputReport;
 use mts_core::spec::{DeploymentSpec, Scenario, SecurityLevel};
-use mts_core::testbed::{fig5_matrix, RunOpts, Testbed};
+use mts_core::testbed::{self, fig5_matrix, RunOpts, Testbed};
 use mts_core::vfplan::VfBudget;
-use mts_core::workloads::{run_workload_repeated, Workload, WorkloadOpts, WorkloadResult};
+use mts_core::workloads::{self, run_workload, Workload, WorkloadOpts, WorkloadResult};
 use mts_core::{attacks, Controller};
 use mts_host::ResourceMode;
 use mts_vswitch::DatapathKind;
@@ -95,6 +96,18 @@ pub fn fig5_panel(
     panel: Fig5Panel,
     opts: ReproOpts,
 ) -> (ThroughputReport, ThroughputReport, ThroughputReport) {
+    let t_opts = RunOpts::throughput().scaled(opts.scale);
+    let l_opts = RunOpts::latency().scaled(opts.scale);
+    fig5_rows(runner::workers(), panel, t_opts, l_opts, &opts.seeds())
+}
+
+fn fig5_rows(
+    workers: usize,
+    panel: Fig5Panel,
+    t_opts: RunOpts,
+    l_opts: RunOpts,
+    seeds: &[u64],
+) -> (ThroughputReport, ThroughputReport, ThroughputReport) {
     let (t_name, l_name, r_name) = match panel {
         Fig5Panel::Shared => ("Fig 5(a)", "Fig 5(b)", "Fig 5(c)"),
         Fig5Panel::Isolated => ("Fig 5(d)", "Fig 5(e)", "Fig 5(f)"),
@@ -109,21 +122,29 @@ pub fn fig5_panel(
         panel.label()
     ));
     let mut res = ThroughputReport::new(format!("{r_name} resources, {} mode", panel.label()));
+    // Per configuration: one throughput cell per seed, then one latency cell.
+    let mut specs = Vec::new();
+    let mut jobs = Vec::new();
     for scenario in Scenario::ALL {
         for spec in panel.matrix(scenario) {
             crate::precheck::precheck_or_panic(spec);
-            let tb = Testbed::new(spec);
-            let t_opts = RunOpts::throughput().scaled(opts.scale);
-            if let Ok(m) = tb.run_repeated(t_opts, &opts.seeds()) {
-                tput.rows.push(m);
+            jobs.extend(seeds.iter().map(|&s| (spec, t_opts.with_seed(s))));
+            jobs.push((spec, l_opts));
+            specs.push(spec);
+        }
+    }
+    let mut runs =
+        runner::run_cells(workers, &jobs, |&(spec, o)| Testbed::new(spec).run(o)).into_iter();
+    for spec in specs {
+        let per_seed: Vec<_> = runs.by_ref().take(seeds.len()).collect();
+        if let Ok(t) = per_seed.into_iter().collect() {
+            tput.rows.push(testbed::combine_repeated(t));
+        }
+        if let Some(Ok(m)) = runs.next() {
+            if spec.scenario == Scenario::P2p {
+                res.rows.push(m.clone());
             }
-            let l_opts = RunOpts::latency().scaled(opts.scale);
-            if let Ok(m) = tb.run(l_opts) {
-                if scenario == Scenario::P2p {
-                    res.rows.push(m.clone());
-                }
-                lat.rows.push(m);
-            }
+            lat.rows.push(m);
         }
     }
     (tput, lat, res)
@@ -131,7 +152,7 @@ pub fn fig5_panel(
 
 /// The Sec. 4.2 packet-size latency sweep (64/512/1500/2048 B).
 pub fn pktsize_sweep(opts: ReproOpts) -> ThroughputReport {
-    let mut rep = ThroughputReport::new("Sec 4.2 latency vs packet size, p2v isolated, 10 kpps");
+    let mut jobs = Vec::new();
     for wire_len in [64u32, 512, 1500, 2048] {
         for spec in [
             DeploymentSpec::baseline(
@@ -151,10 +172,17 @@ pub fn pktsize_sweep(opts: ReproOpts) -> ThroughputReport {
             let o = RunOpts::latency()
                 .scaled(opts.scale)
                 .with_wire_len(wire_len);
-            if let Ok(mut m) = Testbed::new(spec).run(o) {
-                m.config = format!("{} {}B", m.config, wire_len);
-                rep.rows.push(m);
-            }
+            jobs.push((spec, o));
+        }
+    }
+    let runs = runner::run_cells(runner::workers(), &jobs, |&(spec, o)| {
+        Testbed::new(spec).run(o)
+    });
+    let mut rep = ThroughputReport::new("Sec 4.2 latency vs packet size, p2v isolated, 10 kpps");
+    for ((_, o), run) in jobs.iter().zip(runs) {
+        if let Ok(mut m) = run {
+            m.config = format!("{} {}B", m.config, o.wire_len);
+            rep.rows.push(m);
         }
     }
     rep
@@ -189,18 +217,40 @@ impl Fig6Panel {
 
 /// Runs one Fig. 6 panel; returns one result per configuration × scenario.
 pub fn fig6_panel(panel: Fig6Panel, opts: ReproOpts) -> Vec<WorkloadResult> {
-    let mut out = Vec::new();
     let mut w_opts = WorkloadOpts::default();
     // TCP needs slow-start ramp and SYN-RTO recovery time: never scale the
     // workload windows below a quarter of the defaults.
     w_opts.duration = w_opts.duration.mul_f64(opts.scale.max(0.25));
     w_opts.warmup = w_opts.warmup.mul_f64(opts.scale.max(0.25));
+    fig6_rows(runner::workers(), panel, w_opts, &opts.seeds())
+}
+
+fn fig6_rows(
+    workers: usize,
+    panel: Fig6Panel,
+    w_opts: WorkloadOpts,
+    seeds: &[u64],
+) -> Vec<WorkloadResult> {
+    let mut specs = Vec::new();
     for scenario in [Scenario::P2v, Scenario::V2v] {
         for spec in panel.row.matrix(scenario) {
             crate::precheck::precheck_or_panic(spec);
-            if let Ok(r) = run_workload_repeated(spec, panel.workload, w_opts, &opts.seeds()) {
-                out.push(r);
-            }
+            specs.push(spec);
+        }
+    }
+    let jobs: Vec<(DeploymentSpec, u64)> = specs
+        .iter()
+        .flat_map(|&spec| seeds.iter().map(move |&seed| (spec, seed)))
+        .collect();
+    let mut runs = runner::run_cells(workers, &jobs, |&(spec, seed)| {
+        run_workload(spec, panel.workload, w_opts.with_seed(seed))
+    })
+    .into_iter();
+    let mut out = Vec::new();
+    for _ in &specs {
+        let per_seed: Vec<_> = runs.by_ref().take(seeds.len()).collect();
+        if let Ok(r) = per_seed.into_iter().collect() {
+            out.push(workloads::combine_repeated(r));
         }
     }
     out
@@ -310,6 +360,41 @@ mod tests {
                 assert!(!p.matrix(s).is_empty());
             }
         }
+    }
+
+    #[test]
+    fn fig5_rows_are_identical_for_any_worker_count() {
+        let window = |o: RunOpts| RunOpts {
+            warmup: mts_sim::Dur::millis(2),
+            measure: mts_sim::Dur::millis(2),
+            ..o
+        };
+        let t_opts = RunOpts {
+            rate_pps: 1_000_000.0,
+            ..window(RunOpts::throughput())
+        };
+        let l_opts = window(RunOpts::latency());
+        let rows = |workers| fig5_rows(workers, Fig5Panel::Shared, t_opts, l_opts, &[1, 2]);
+        let one = rows(1);
+        assert_eq!(one.0.rows.len(), 11);
+        assert_eq!(format!("{one:?}"), format!("{:?}", rows(3)));
+    }
+
+    #[test]
+    fn fig6_rows_are_identical_for_any_worker_count() {
+        let panel = Fig6Panel {
+            row: Fig5Panel::Shared,
+            workload: Workload::Memcached,
+        };
+        let w_opts = WorkloadOpts {
+            duration: mts_sim::Dur::millis(20),
+            warmup: mts_sim::Dur::millis(20),
+            ..WorkloadOpts::default()
+        };
+        let rows = |workers| fig6_rows(workers, panel, w_opts, &[1, 2]);
+        let one = rows(1);
+        assert_eq!(one.len(), 7);
+        assert_eq!(format!("{one:?}"), format!("{:?}", rows(3)));
     }
 
     #[test]

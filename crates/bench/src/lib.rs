@@ -14,6 +14,7 @@
 
 pub mod figures;
 pub mod precheck;
+mod runner;
 pub mod slo;
 
 pub use slo::{

@@ -18,7 +18,7 @@ use mts_net::{Frame, Ipv4Packet, MacAddr, Payload, TcpFlags, TcpSegment, Transpo
 use mts_nic::{NicPort, PfId, VfId};
 #[cfg(test)]
 use mts_sim::Time;
-use mts_sim::{CoreId, DetRng, Dur, Histogram};
+use mts_sim::{CoreId, DetRng, Dur, EventId, Histogram};
 use mts_tcp::{Connection, Output, TcpConfig};
 use mts_telemetry::DropCause;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -51,7 +51,8 @@ pub struct Quad {
 struct ConnRt {
     conn: Connection,
     id: ConnId,
-    timer_gen: u64,
+    /// The connection's one pending retransmission/delayed-ACK timer.
+    timer: Option<EventId>,
 }
 
 /// One TCP/IP endpoint plus its application.
@@ -314,7 +315,7 @@ fn host_exec(w: &mut World, e: &mut Sim, h: usize, frame: Frame) {
         touched = Some(quad);
         if let Some(rt) = host.conns.get_mut(&quad) {
             let out = rt.conn.on_segment(&seg, now);
-            collect(host, quad, out, &mut emits, &mut events);
+            collect(host, e, quad, out, &mut emits, &mut events);
         } else if seg.flags.contains(TcpFlags::SYN)
             && !seg.flags.contains(TcpFlags::ACK)
             && host.listeners.contains(&seg.dport)
@@ -327,11 +328,11 @@ fn host_exec(w: &mut World, e: &mut Sim, h: usize, frame: Frame) {
                     ConnRt {
                         conn,
                         id,
-                        timer_gen: 0,
+                        timer: None,
                     },
                 );
                 host.by_id.insert(id, quad);
-                collect(host, quad, out, &mut emits, &mut events);
+                collect(host, e, quad, out, &mut emits, &mut events);
             }
         } else if !seg.flags.contains(TcpFlags::RST) {
             // Unknown connection: a real stack answers with RST.
@@ -358,6 +359,7 @@ fn host_exec(w: &mut World, e: &mut Sim, h: usize, frame: Frame) {
 /// Collects the stack output into emits + app events, reaping closed conns.
 fn collect(
     host: &mut TcpHostRt,
+    e: &mut Sim,
     quad: Quad,
     out: Output,
     emits: &mut Vec<(Quad, TcpSegment)>,
@@ -376,8 +378,17 @@ fn collect(
         }
         if out.closed {
             events.push(AppEvent::Closed(id));
-            host.conns.remove(&quad);
-            host.by_id.remove(&id);
+            reap_conn(host, e, quad);
+        }
+    }
+}
+
+/// Forgets a closed connection and cancels its pending timer.
+fn reap_conn(host: &mut TcpHostRt, e: &mut Sim, quad: Quad) {
+    if let Some(rt) = host.conns.remove(&quad) {
+        host.by_id.remove(&rt.id);
+        if let Some(timer) = rt.timer {
+            e.cancel(timer);
         }
     }
 }
@@ -462,7 +473,7 @@ fn run_app(w: &mut World, e: &mut Sim, h: usize, events: Vec<AppEvent>) -> Vec<(
                         if let Some(rt) = host.conns.get_mut(&quad) {
                             let out = rt.conn.send(bytes, now);
                             let mut evs = Vec::new();
-                            collect(host, quad, out, &mut emits, &mut evs);
+                            collect(host, e, quad, out, &mut emits, &mut evs);
                             queue.extend(evs);
                             timer_quads.push(quad);
                         }
@@ -473,7 +484,7 @@ fn run_app(w: &mut World, e: &mut Sim, h: usize, events: Vec<AppEvent>) -> Vec<(
                         if let Some(rt) = host.conns.get_mut(&quad) {
                             let out = rt.conn.close(now);
                             let mut evs = Vec::new();
-                            collect(host, quad, out, &mut emits, &mut evs);
+                            collect(host, e, quad, out, &mut emits, &mut evs);
                             queue.extend(evs);
                             timer_quads.push(quad);
                         }
@@ -517,11 +528,11 @@ fn open_client_conn(w: &mut World, e: &mut Sim, h: usize, id: ConnId, rip: Ipv4A
             ConnRt {
                 conn,
                 id,
-                timer_gen: 0,
+                timer: None,
             },
         );
         host.by_id.insert(id, quad);
-        collect(host, quad, out, &mut emits, &mut evs);
+        collect(host, e, quad, out, &mut emits, &mut evs);
         quad
     };
     run_app_events_then_emit(w, e, h, evs, emits);
@@ -637,40 +648,41 @@ fn dispatch_frame(w: &mut World, e: &mut Sim, attach: HostAttach, frame: Frame) 
     }
 }
 
-/// (Re-)arms the retransmission/delayed-ACK timer of one connection.
+/// (Re-)arms the retransmission/delayed-ACK timer of one connection,
+/// cancelling the one it replaces: a connection has at most one pending.
 fn arm_conn_timer(w: &mut World, e: &mut Sim, h: usize, quad: Quad) {
-    let Some(host) = w.hosts.get_mut(h) else {
+    let Some(rt) = w
+        .hosts
+        .get_mut(h)
+        .and_then(|host| host.conns.get_mut(&quad))
+    else {
         return;
     };
-    let Some(rt) = host.conns.get_mut(&quad) else {
-        return;
-    };
-    rt.timer_gen += 1;
-    let gen = rt.timer_gen;
-    let Some(deadline) = rt.conn.next_timer() else {
-        return;
-    };
-    e.schedule_at(deadline, move |w, e| {
-        conn_timer_fire(w, e, h, quad, gen);
-    });
+    if let Some(old) = rt.timer.take() {
+        e.cancel(old);
+    }
+    rt.timer = rt
+        .conn
+        .next_timer()
+        .map(|deadline| e.schedule_at(deadline, move |w, e| conn_timer_fire(w, e, h, quad)));
 }
 
-fn conn_timer_fire(w: &mut World, e: &mut Sim, h: usize, quad: Quad, gen: u64) {
+fn conn_timer_fire(w: &mut World, e: &mut Sim, h: usize, quad: Quad) {
     let now = e.now();
     let mut emits = Vec::new();
     let mut events = Vec::new();
     {
+        // Armed timers are cancelled on re-arm and on close, so this one is
+        // the connection's current timer.
         let Some(host) = w.hosts.get_mut(h) else {
             return;
         };
         let Some(rt) = host.conns.get_mut(&quad) else {
             return;
         };
-        if rt.timer_gen != gen {
-            return; // Superseded by later activity.
-        }
+        rt.timer = None;
         let out = rt.conn.on_timer(now);
-        collect(host, quad, out, &mut emits, &mut events);
+        collect(host, e, quad, out, &mut emits, &mut events);
     }
     run_app_events_then_emit(w, e, h, events, emits);
     arm_conn_timer(w, e, h, quad);
@@ -878,6 +890,43 @@ mod tests {
     }
 
     #[test]
+    fn each_connection_owns_at_most_one_pending_timer() {
+        let (mut w, mut e) = iperf_world(SecurityLevel::Level1);
+        host_start(&mut w, &mut e, 1);
+        e.run_until(&mut w, Time::from_nanos(5_000_000));
+        let mut open: Vec<(usize, Quad)> = Vec::new();
+        for (h, host) in w.hosts.iter().enumerate() {
+            open.extend(host.conns.keys().map(|q| (h, *q)));
+        }
+        open.sort_by_key(|(h, q)| (*h, q.lport, q.rip, q.rport));
+        let mut checked = 0;
+        for (h, quad) in open {
+            let timer = |w: &World| w.hosts[h].conns[&quad].timer;
+            let Some(first) = timer(&w) else {
+                continue;
+            };
+            // Re-arming replaces the pending timer: the count never moves.
+            let before = e.pending();
+            for _ in 0..1_000 {
+                arm_conn_timer(&mut w, &mut e, h, quad);
+            }
+            assert_eq!(e.pending(), before, "re-arms leaked timer events");
+            assert!(!e.cancel(first), "the replaced timer is still pending");
+            // Closing cancels the connection's one timer.
+            reap_conn(&mut w.hosts[h], &mut e, quad);
+            assert_eq!(
+                e.pending(),
+                before - 1,
+                "a closed connection kept its timer"
+            );
+            arm_conn_timer(&mut w, &mut e, h, quad);
+            assert_eq!(e.pending(), before - 1, "a closed connection was re-armed");
+            checked += 1;
+        }
+        assert!(checked > 0, "no open connection had a pending timer");
+    }
+
+    #[test]
     fn rst_for_closed_ports() {
         let (mut w, mut e) = iperf_world(SecurityLevel::Level1);
         // Client connects to a port nobody listens on.
@@ -922,7 +971,7 @@ mod tests {
             ConnRt {
                 conn: Connection::client(TcpConfig::default(), a, 80, 1, Time::ZERO).0,
                 id: ConnId(99),
-                timer_gen: 0,
+                timer: None,
             },
         );
         let b = host.alloc_ephemeral();

@@ -160,28 +160,33 @@ impl Testbed {
     /// Runs the same experiment across `seeds`, merging latency samples
     /// and averaging throughput — the paper's repeated-runs methodology.
     pub fn run_repeated(&self, opts: RunOpts, seeds: &[u64]) -> Result<Measurement, DeployError> {
-        let mut merged: Option<Measurement> = None;
-        let mut tputs = Vec::new();
-        for &seed in seeds {
-            let m = self.run(opts.with_seed(seed))?;
-            tputs.push(m.throughput_pps);
-            match &mut merged {
-                None => merged = Some(m),
-                Some(acc) => {
-                    acc.sent += m.sent;
-                    acc.received += m.received;
-                    for (a, b) in acc.per_flow.iter_mut().zip(m.per_flow.iter()) {
-                        *a += b;
-                    }
-                }
-            }
-        }
-        let mut out = merged.unwrap_or_default();
-        if !tputs.is_empty() {
-            out.throughput_pps = tputs.iter().sum::<f64>() / tputs.len() as f64;
-        }
-        Ok(out)
+        let runs = seeds
+            .iter()
+            .map(|&seed| self.run(opts.with_seed(seed)))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(combine_repeated(runs))
     }
+}
+
+/// Combines one [`Testbed::run`] per seed into the repeated-runs
+/// measurement: the first run's outputs, with frame and per-flow counts
+/// summed over the runs and the throughput averaged.
+pub fn combine_repeated(runs: Vec<Measurement>) -> Measurement {
+    let n = runs.len();
+    let mean = runs.iter().map(|m| m.throughput_pps).sum::<f64>() / n as f64;
+    let mut runs = runs.into_iter();
+    let mut out = runs.next().unwrap_or_default();
+    for m in runs {
+        out.sent += m.sent;
+        out.received += m.received;
+        for (a, b) in out.per_flow.iter_mut().zip(m.per_flow.iter()) {
+            *a += b;
+        }
+    }
+    if n > 0 {
+        out.throughput_pps = mean;
+    }
+    out
 }
 
 /// The standard configuration matrix of Fig. 5, by resource mode row.

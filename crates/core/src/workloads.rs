@@ -256,16 +256,22 @@ pub fn run_workload_repeated(
     opts: WorkloadOpts,
     seeds: &[u64],
 ) -> Result<WorkloadResult, DeployError> {
-    let mut results = Vec::new();
-    for &s in seeds {
-        results.push(run_workload(spec, workload, opts.with_seed(s))?);
-    }
-    let tputs: Vec<f64> = results.iter().map(|r| r.throughput).collect();
+    let runs = seeds
+        .iter()
+        .map(|&s| run_workload(spec, workload, opts.with_seed(s)))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(combine_repeated(runs))
+}
+
+/// Combines one [`run_workload`] result per seed into the repeated-runs
+/// result: the first run's outputs, with the mean throughput and its 95% CI.
+pub fn combine_repeated(runs: Vec<WorkloadResult>) -> WorkloadResult {
+    let tputs: Vec<f64> = runs.iter().map(|r| r.throughput).collect();
     let (mean, half) = mean_ci95(&tputs);
-    let mut out = results.into_iter().next().unwrap_or_default();
+    let mut out = runs.into_iter().next().unwrap_or_default();
     out.throughput = mean;
     out.ci95 = half;
-    Ok(out)
+    out
 }
 
 /// The next-hop MAC the LG uses to reach tenant `t`'s service.

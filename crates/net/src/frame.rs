@@ -30,8 +30,12 @@ pub mod sizes {
     pub const TCP_HEADER: u32 = 20;
 }
 
-/// Process-wide frame id counter: ids are unique within a run; measurement
-/// code correlates tap observations by id.
+/// Process-wide frame id counter. Ids are unique within the process, not
+/// within a run: every simulation in the process draws from this counter,
+/// including ones running concurrently on other threads, so the ids one run
+/// sees depend on what else ran before or beside it. They serve only to
+/// correlate records of the same frame (tap observations, telemetry
+/// journeys); no simulated output may depend on id values.
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Allocates a fresh frame id.
@@ -142,7 +146,8 @@ impl Eq for CowPayload {}
 /// ```
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Frame {
-    /// Unique id for measurement correlation (not a wire field).
+    /// Process-unique id for measurement correlation (not a wire field;
+    /// see [`fresh_id`]).
     pub id: u64,
     /// Nanosecond timestamp at origin (not a wire field; set by generators).
     pub origin_ns: u64,

@@ -28,8 +28,12 @@
 //! (`child`/`sibling` links), keyed on `(time, seq)`. Keys are unique —
 //! `seq` increments on every schedule — so delete-min is deterministic
 //! regardless of meld order. Cancellation is lazy: [`Engine::cancel`] drops
-//! the payload in place and the dead slot is skipped (and freed) when it
-//! surfaces at the top of the heap.
+//! the payload in place and the dead slot stays linked into the heap, to be
+//! skipped (and freed) when it surfaces at the top. So that a re-arm-heavy
+//! caller cannot grow the slab without bound, the engine counts dead slots:
+//! once they outnumber both the live ones and a floor of 1,024, it frees them
+//! all and re-melds the live slots into a fresh heap. Keys are unique, so
+//! the rebuilt heap pops in exactly the order the old one would have.
 //!
 //! Dispatch is batched: the run loops drain same-timestamp runs of up to
 //! [`BURST`] events in one pass, charging the per-kind dispatch counters
@@ -76,6 +80,10 @@ pub const UNTAGGED_EVENT: &str = "event";
 
 /// Maximum number of same-timestamp events drained per dispatch burst.
 pub const BURST: usize = 32;
+
+/// Lazily-cancelled slots tolerated before a reclaim pass, whatever the
+/// live count: below this the dead slots cost less than the rebuild.
+const RECLAIM_FLOOR: usize = 1024;
 
 /// Sentinel for "no slot" in the intrusive heap links.
 const NIL: u32 = u32::MAX;
@@ -132,6 +140,8 @@ pub struct Engine<W, E = Boxed<W>> {
     /// Scheduled-and-not-cancelled event count (what [`Engine::pending`]
     /// reports); dead slots awaiting pop are excluded.
     live: usize,
+    /// Lazily-cancelled slots still linked into the heap.
+    dead: usize,
     fired: u64,
     /// Registered dispatch tags, indexed by kind id.
     kinds: Vec<&'static str>,
@@ -223,6 +233,7 @@ impl<W, E: Event<W>> Engine<W, E> {
             free: Vec::new(),
             root: NIL,
             live: 0,
+            dead: 0,
             fired: 0,
             kinds: Vec::new(),
             counts: Vec::new(),
@@ -280,7 +291,8 @@ impl<W, E: Event<W>> Engine<W, E> {
     /// Cancels a pending event. Returns `true` if the handle was live.
     ///
     /// Cancellation is lazy: the payload is dropped immediately but the
-    /// slot is reclaimed when it reaches the top of the queue. A handle to
+    /// slot is reclaimed when it reaches the top of the queue, or earlier,
+    /// by a reclaim pass once dead slots outnumber live ones. A handle to
     /// an event that already fired (or was cancelled, or cleared) is stale
     /// and returns `false` without touching anything.
     pub fn cancel(&mut self, id: EventId) -> bool {
@@ -288,6 +300,10 @@ impl<W, E: Event<W>> Engine<W, E> {
             Some(s) if s.occupied && s.gen == id.gen && s.run.is_some() => {
                 s.run = None;
                 self.live -= 1;
+                self.dead += 1;
+                if self.dead > self.live.max(RECLAIM_FLOOR) {
+                    self.reclaim();
+                }
                 true
             }
             _ => false,
@@ -342,6 +358,7 @@ impl<W, E: Event<W>> Engine<W, E> {
                 return true;
             }
             // Lazily-cancelled slot: reclaimed above, keep looking.
+            self.dead -= 1;
         }
     }
 
@@ -359,6 +376,7 @@ impl<W, E: Event<W>> Engine<W, E> {
         }
         self.root = NIL;
         self.live = 0;
+        self.dead = 0;
     }
 
     /// Drains one burst: up to [`BURST`] events sharing the timestamp of
@@ -390,7 +408,10 @@ impl<W, E: Event<W>> Engine<W, E> {
             let kind = slot.kind;
             let run = slot.run.take();
             self.free_slot(idx);
-            let Some(f) = run else { continue };
+            let Some(f) = run else {
+                self.dead -= 1;
+                continue;
+            };
             burst_at = Some(at);
             debug_assert!(at >= self.now, "event queue went backwards");
             self.now = at;
@@ -485,6 +506,28 @@ impl<W, E: Event<W>> Engine<W, E> {
         s.sibling = NIL;
         s.gen = s.gen.wrapping_add(1);
         self.free.push(idx);
+    }
+
+    /// Frees every lazily-cancelled slot and re-melds the live slots, in
+    /// slot order, into a fresh heap. Pop order is unchanged: it depends
+    /// only on the unique `(at, seq)` keys, never on the heap's shape.
+    fn reclaim(&mut self) {
+        let mut root = NIL;
+        for idx in 0..self.slots.len() as u32 {
+            let s = &mut self.slots[idx as usize];
+            if !s.occupied {
+                continue;
+            }
+            if s.run.is_none() {
+                self.free_slot(idx);
+                continue;
+            }
+            s.child = NIL;
+            s.sibling = NIL;
+            root = self.meld(root, idx);
+        }
+        self.root = root;
+        self.dead = 0;
     }
 
     /// Melds two pairing-heap roots; the smaller `(at, seq)` key wins.
@@ -807,6 +850,97 @@ mod tests {
         e.run(&mut w);
         assert_eq!(w, (0..64).step_by(2).map(|i| i as u32).collect::<Vec<_>>());
         assert_eq!(e.events_fired(), 32);
+    }
+
+    /// A seeded schedule/cancel/step stream replayed against a naive
+    /// sorted-`Vec` model: the engine must fire exactly the model's order,
+    /// across the reclaim passes its cancel-heavy phases trigger.
+    #[test]
+    fn cancel_heavy_stream_fires_in_sorted_model_order() {
+        let mut rng = crate::rng::DetRng::new(0x5eed);
+        let mut e: Engine<Vec<u64>> = Engine::new();
+        let mut fired = Vec::new();
+        // Pending `(at, seq)` keys, kept sorted; `seq` doubles as the payload.
+        let mut model: Vec<(Time, u64)> = Vec::new();
+        let mut want = Vec::new();
+        // Handles in random order, live or gone stale by firing.
+        let mut handles: Vec<(EventId, Time, u64)> = Vec::new();
+        let mut seq = 0u64;
+        let mut reclaims = 0;
+        for round in 0..100_000u64 {
+            // Alternate phases that grow the queue and cancel it down.
+            let (p_schedule, p_cancel) = if (round / 10_000) % 2 == 0 {
+                (70, 80)
+            } else {
+                (10, 90)
+            };
+            let r = rng.below(100);
+            if r < p_schedule {
+                let at = e.now() + Dur::nanos(rng.below(1_000_000));
+                let tag = seq;
+                let id = e.schedule_at(at, move |w: &mut Vec<u64>, _| w.push(tag));
+                let pos = model.partition_point(|k| *k < (at, seq));
+                model.insert(pos, (at, seq));
+                handles.push((id, at, seq));
+                seq += 1;
+            } else if r < p_cancel && !handles.is_empty() {
+                let (id, at, tag) = handles.swap_remove(rng.index(handles.len()));
+                let live = model.binary_search(&(at, tag));
+                let dead_before = e.dead;
+                assert_eq!(e.cancel(id), live.is_ok());
+                if let Ok(i) = live {
+                    model.remove(i);
+                }
+                if e.dead < dead_before {
+                    reclaims += 1;
+                }
+            } else {
+                assert_eq!(e.step(&mut fired), !model.is_empty());
+                if !model.is_empty() {
+                    want.push(model.remove(0).1);
+                }
+            }
+            assert_eq!(e.pending(), model.len());
+        }
+        e.run(&mut fired);
+        want.extend(model.iter().map(|k| k.1));
+        assert_eq!(fired, want);
+        assert!(reclaims > 0, "the stream never triggered a reclaim pass");
+    }
+
+    #[test]
+    fn rearm_loop_keeps_the_slab_bounded() {
+        // The TCP retransmission-timer shape: 100 timers re-armed far ahead
+        // (cancel + schedule) while a short tick advances the clock, so a
+        // cancelled slot would reach the top of the heap only after ~100k
+        // more re-arms. A million cancels must stay within about twice the
+        // larger of peak live and the reclaim floor.
+        let mut e: Engine<u64> = Engine::new();
+        let mut w = 0u64;
+        let timer = |w: &mut u64, _: &mut Engine<u64>| *w += 1;
+        let mut timers: Vec<EventId> = (0..100)
+            .map(|_| e.schedule_after(Dur::millis(1), timer))
+            .collect();
+        let mut cancels = 0;
+        let mut peak_live = 0;
+        for round in 0..1_000_000usize {
+            let k = round % timers.len();
+            cancels += usize::from(e.cancel(timers[k]));
+            timers[k] = e.schedule_after(Dur::millis(1), timer);
+            e.schedule_after(Dur::nanos(10), |_: &mut u64, _| {});
+            peak_live = peak_live.max(e.pending());
+            assert!(e.step(&mut w));
+        }
+        assert_eq!(cancels, 1_000_000);
+        assert_eq!(w, 0, "a re-armed timer fired");
+        assert!(peak_live <= 101);
+        assert!(
+            e.slots.len() <= 2 * peak_live.max(RECLAIM_FLOOR),
+            "slab grew to {} slots",
+            e.slots.len()
+        );
+        e.run(&mut w);
+        assert_eq!(w, 100);
     }
 
     /// A typed event enum with a closure fallback variant, as the core

@@ -8,6 +8,7 @@ use mts::core::attacks::{self, Attack};
 use mts::core::spec::{DeploymentSpec, Scenario, SecurityLevel};
 use mts::core::testbed::{RunOpts, Testbed};
 use mts::core::vfplan::VfBudget;
+use mts::core::workloads::{run_workload, Workload, WorkloadOpts};
 use mts::host::{ResourceLedger, ResourceMode};
 use mts::sim::Dur;
 use mts::vswitch::DatapathKind;
@@ -227,4 +228,77 @@ fn security_ladder_is_monotone() {
             .expect("attack evaluated")
             .blocked
     );
+}
+
+/// TCP windows for debug-mode runs: enough for connection ramp-up and
+/// slow start, a sixth of `repro --quick fig6`'s.
+fn tcp_window() -> WorkloadOpts {
+    WorkloadOpts {
+        duration: Dur::millis(50),
+        warmup: Dur::millis(50),
+        ..WorkloadOpts::default()
+    }
+}
+
+/// Sec. 5, shared resource mode: every MTS level of the Fig. 6 panel serves
+/// at least `ratio` times the Baseline's application throughput, in p2v and
+/// in v2v (where Level-2 with four singleton compartments has no tenant
+/// pairs to chain).
+fn assert_shared_mts_over_baseline(workload: Workload, ratio: f64) {
+    let tput = |spec| {
+        run_workload(spec, workload, tcp_window())
+            .expect("run completes")
+            .throughput
+    };
+    let l1 = SecurityLevel::Level1;
+    let l2_2 = SecurityLevel::Level2 { compartments: 2 };
+    let l2_4 = SecurityLevel::Level2 { compartments: 4 };
+    for (scenario, levels) in [
+        (Scenario::P2v, &[l1, l2_2, l2_4][..]),
+        (Scenario::V2v, &[l1, l2_2][..]),
+    ] {
+        let base = tput(DeploymentSpec::baseline(
+            DatapathKind::Kernel,
+            ResourceMode::Shared,
+            1,
+            scenario,
+        ));
+        assert!(
+            base > 0.0,
+            "{} {scenario:?}: idle Baseline",
+            workload.label()
+        );
+        for &level in levels {
+            let mts = tput(DeploymentSpec::mts(
+                level,
+                DatapathKind::Kernel,
+                ResourceMode::Shared,
+                scenario,
+            ));
+            assert!(
+                mts >= ratio * base,
+                "{} {scenario:?}: {} at {mts:.2} {} is below {ratio}x the Baseline's {base:.2}",
+                workload.label(),
+                level.label(),
+                workload.unit()
+            );
+        }
+    }
+}
+
+#[test]
+fn shared_apache_mts_serves_1_5x_baseline() {
+    // Sec. 5.2: MTS serves web pages "approximately twice as fast".
+    assert_shared_mts_over_baseline(Workload::Apache, 1.5);
+}
+
+#[test]
+fn shared_memcached_mts_serves_1_5x_baseline() {
+    assert_shared_mts_over_baseline(Workload::Memcached, 1.5);
+}
+
+#[test]
+fn shared_iperf_mts_moves_2x_baseline() {
+    // Sec. 5.2: "more than 2x in the shared mode".
+    assert_shared_mts_over_baseline(Workload::Iperf, 2.0);
 }
