@@ -156,21 +156,12 @@ impl Testbed {
             hugepages: totals.hugepages,
         })
     }
-
-    /// Runs the same experiment across `seeds`, merging latency samples
-    /// and averaging throughput — the paper's repeated-runs methodology.
-    pub fn run_repeated(&self, opts: RunOpts, seeds: &[u64]) -> Result<Measurement, DeployError> {
-        let runs = seeds
-            .iter()
-            .map(|&seed| self.run(opts.with_seed(seed)))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(combine_repeated(runs))
-    }
 }
 
 /// Combines one [`Testbed::run`] per seed into the repeated-runs
-/// measurement: the first run's outputs, with frame and per-flow counts
-/// summed over the runs and the throughput averaged.
+/// measurement, the paper's methodology: the first run's outputs, with
+/// frame and per-flow counts summed over the runs and the throughput
+/// averaged.
 pub fn combine_repeated(runs: Vec<Measurement>) -> Measurement {
     let n = runs.len();
     let mean = runs.iter().map(|m| m.throughput_pps).sum::<f64>() / n as f64;
@@ -306,11 +297,16 @@ mod tests {
             ResourceMode::Isolated,
             Scenario::P2p,
         );
-        let m = Testbed::new(spec)
-            .run_repeated(quick(), &[1, 2, 3])
-            .unwrap();
+        let tb = Testbed::new(spec);
+        let runs: Vec<_> = [1, 2, 3]
+            .map(|seed| tb.run(quick().with_seed(seed)).unwrap())
+            .into();
+        let sent: u64 = runs.iter().map(|m| m.sent).sum();
+        let mean = runs.iter().map(|m| m.throughput_pps).sum::<f64>() / 3.0;
+        let m = combine_repeated(runs);
         assert!(m.sent > 0);
-        assert!(m.throughput_pps > 0.0);
+        assert_eq!(m.sent, sent);
+        assert_eq!(m.throughput_pps, mean);
     }
 
     #[test]
