@@ -54,17 +54,23 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
 
     #[test]
     fn results_come_back_in_job_order_for_any_worker_count() {
-        let jobs: Vec<u64> = (0..50).collect();
-        let want: Vec<u64> = jobs.iter().map(|j| j * j).collect();
-        for workers in [1, 2, 3, 8, 64] {
-            assert_eq!(
-                run_cells(workers, &jobs, |j| j * j),
-                want,
-                "{workers} workers"
-            );
+        let jobs: Vec<usize> = (0..50).collect();
+        let want: Vec<usize> = jobs.iter().map(|j| j * j).collect();
+        for workers in [1, 2, 3, 8] {
+            // The first `workers` jobs meet at a barrier, so each worker
+            // holds one of them and every worker's results interleave.
+            let barrier = Barrier::new(workers);
+            let got = run_cells(workers, &jobs, |&j| {
+                if j < workers {
+                    barrier.wait();
+                }
+                j * j
+            });
+            assert_eq!(got, want, "{workers} workers");
         }
         assert!(run_cells(4, &[] as &[u64], |j| *j).is_empty());
     }
