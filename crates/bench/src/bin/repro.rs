@@ -70,7 +70,7 @@
 //! given seed.
 
 use mts_bench::figures::{
-    fig5_panel, fig6_panel, isolation_matrix, pktsize_sweep, render_fig6, vf_count_table,
+    fig5_panel, fig6_csv, fig6_panel, isolation_matrix, pktsize_sweep, render_fig6, vf_count_table,
     Fig5Panel, Fig6Panel, ReproOpts,
 };
 use mts_core::controller::Deployment;
@@ -171,26 +171,7 @@ fn run_fig6(opts: ReproOpts, out: &PathBuf) {
             let panel = Fig6Panel { row, workload };
             let rows = fig6_panel(panel, opts);
             println!("{}", render_fig6(panel.name(), workload, &rows));
-            let mut csv =
-                String::from("config,scenario,workload,throughput,ci95,resp_p50_ns,resp_p99_ns\n");
-            for r in &rows {
-                csv.push_str(&format!(
-                    "{},{},{},{:.3},{:.3},{},{}\n",
-                    r.config.replace(',', ";"),
-                    r.scenario,
-                    r.workload,
-                    r.throughput,
-                    r.ci95,
-                    r.latency.p50,
-                    r.latency.p99
-                ));
-            }
-            let tag = format!(
-                "fig6_{}_{}",
-                row.label().split(' ').next().unwrap_or("row"),
-                workload.label()
-            );
-            save(out, &format!("{tag}.csv"), &csv);
+            save(out, &format!("{}.csv", panel.tag()), &fig6_csv(&rows));
         }
     }
 }

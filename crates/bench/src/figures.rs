@@ -213,6 +213,15 @@ impl Fig6Panel {
             (Fig5Panel::Dpdk, Workload::Memcached) => "Fig 6(m,o)",
         }
     }
+
+    /// File stem of the panel's CSV, e.g. `fig6_shared_apache`.
+    pub fn tag(self) -> String {
+        format!(
+            "fig6_{}_{}",
+            self.row.label().split(' ').next().unwrap_or("row"),
+            self.workload.label()
+        )
+    }
 }
 
 /// Runs one Fig. 6 panel; returns one result per configuration × scenario.
@@ -222,7 +231,17 @@ pub fn fig6_panel(panel: Fig6Panel, opts: ReproOpts) -> Vec<WorkloadResult> {
     // workload windows below a quarter of the defaults.
     w_opts.duration = w_opts.duration.mul_f64(opts.scale.max(0.25));
     w_opts.warmup = w_opts.warmup.mul_f64(opts.scale.max(0.25));
-    fig6_rows(runner::workers(), panel, w_opts, &opts.seeds())
+    fig6_panel_with(panel, w_opts, &opts.seeds())
+}
+
+/// Runs one Fig. 6 panel over `seeds` with explicit workload windows
+/// ([`fig6_panel`] derives them from [`ReproOpts`]).
+pub fn fig6_panel_with(
+    panel: Fig6Panel,
+    w_opts: WorkloadOpts,
+    seeds: &[u64],
+) -> Vec<WorkloadResult> {
+    fig6_rows(runner::workers(), panel, w_opts, seeds)
 }
 
 fn fig6_rows(
@@ -254,6 +273,25 @@ fn fig6_rows(
         }
     }
     out
+}
+
+/// Renders Fig. 6 results as CSV.
+pub fn fig6_csv(rows: &[WorkloadResult]) -> String {
+    let mut csv =
+        String::from("config,scenario,workload,throughput,ci95,resp_p50_ns,resp_p99_ns\n");
+    for r in rows {
+        csv.push_str(&format!(
+            "{},{},{},{:.3},{:.3},{},{}\n",
+            r.config.replace(',', ";"),
+            r.scenario,
+            r.workload,
+            r.throughput,
+            r.ci95,
+            r.latency.p50,
+            r.latency.p99
+        ));
+    }
+    csv
 }
 
 /// Renders Fig. 6 results as an aligned table.

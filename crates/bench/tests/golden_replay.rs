@@ -1,5 +1,6 @@
 //! Golden-replay determinism tests: re-running the quick SLO and faults
-//! panels must reproduce the committed CSVs byte for byte.
+//! panels, and every Fig. 6 panel at reduced windows, must reproduce the
+//! committed CSVs byte for byte.
 //!
 //! The panels are pure functions of (spec, seed): no wall clock, no host
 //! state, no iteration-order dependence may leak into their output. These
@@ -16,7 +17,9 @@
 use std::fs;
 use std::path::PathBuf;
 
+use mts_bench::figures::{fig6_csv, fig6_panel_with, Fig5Panel, Fig6Panel};
 use mts_bench::slo;
+use mts_core::workloads::{Workload, WorkloadOpts};
 use mts_faults::{blast_radius_panel, experiment, FaultOpts};
 use mts_sim::{Dur, Time};
 
@@ -74,4 +77,23 @@ fn faults_panel_replays_byte_identical() {
     };
     let cells = blast_radius_panel(opts).expect("quick faults panel");
     check_or_bless("faults_blast_radius.quick.csv", &experiment::to_csv(&cells));
+}
+
+#[test]
+fn fig6_panels_replay_byte_identical_at_reduced_windows() {
+    // One seed and 10 ms windows: far below the quick pass (TCP barely
+    // leaves slow start), but every TCP path of every panel runs, so any
+    // change to the workload set-up or the host stack shows up here.
+    let w_opts = WorkloadOpts {
+        duration: Dur::millis(10),
+        warmup: Dur::millis(10),
+        ..WorkloadOpts::default()
+    };
+    for row in Fig5Panel::ALL {
+        for workload in Workload::ALL {
+            let panel = Fig6Panel { row, workload };
+            let rows = fig6_panel_with(panel, w_opts, &[1]);
+            check_or_bless(&format!("{}.reduced.csv", panel.tag()), &fig6_csv(&rows));
+        }
+    }
 }
