@@ -176,15 +176,7 @@ fn telemetry_ab(c: &mut Criterion) {
             w.telemetry = Telemetry::enabled();
         }
         let mut e = Sim::new();
-        let flows: Vec<(MacAddr, Ipv4Addr)> = w
-            .plan
-            .tenants
-            .iter()
-            .map(|t| {
-                let c = w.spec.compartment_of_tenant(t.index) as usize;
-                (w.plan.compartments[c].in_out[0].1, t.ip)
-            })
-            .collect();
+        let flows = w.probe_flows();
         start_udp_generator(&mut e, flows, 100_000.0, 64, Time::from_nanos(1_000_000));
         e.run_until(&mut w, Time::from_nanos(3_000_000));
         w.sink.received

@@ -5,7 +5,7 @@
 //! ```text
 //! repro [--quick] [--out DIR] \
 //!   [--trace-out FILE] [--metrics-out FILE] [--bench-out FILE] \
-//!   [all|verify|fuzz|fig5|fig6|pktsize|table1|vfcount|isolation|noisy|overlay|billing|trace|faults|slo]
+//!   [all|verify|fuzz|fig5|fig6|pktsize|table1|vfcount|isolation|overlay|trace|faults|slo]...
 //! ```
 //!
 //! Prints aligned tables to stdout and writes CSV files under `--out`
@@ -75,20 +75,36 @@ use mts_bench::figures::{
 };
 use mts_core::controller::Deployment;
 use mts_core::delta::ConfigDelta;
-use mts_core::perfiso::{self, NoisyOpts};
+use mts_core::perfiso;
 use mts_core::runtime::{start_udp_generator, RuntimeCfg, Sim, World};
 use mts_core::spec::{DeploymentSpec, Scenario, SecurityLevel};
 use mts_core::survey;
 use mts_core::workloads::Workload;
-use mts_core::{billing, overlay, Controller};
+use mts_core::{overlay, Controller};
 use mts_host::ResourceMode;
-use mts_net::MacAddr;
 use mts_nic::{FilterAction, FilterRule, NicPort, PfId, PortClass, VfConfig};
 use mts_sim::Time;
-use mts_telemetry::{MediationAuditor, Telemetry};
+use mts_telemetry::{MediationAuditor, Recorder, Telemetry};
 use mts_vswitch::DatapathKind;
 use std::fs;
 use std::path::{Path, PathBuf};
+
+/// Every target `repro` accepts.
+const TARGETS: &[&str] = &[
+    "all",
+    "verify",
+    "fuzz",
+    "fig5",
+    "fig6",
+    "pktsize",
+    "table1",
+    "vfcount",
+    "isolation",
+    "overlay",
+    "trace",
+    "faults",
+    "slo",
+];
 
 struct Args {
     quick: bool,
@@ -190,15 +206,7 @@ fn run_trace(quick: bool, trace_out: Option<&Path>, metrics_out: Option<&Path>) 
     w.sink.window = (Time::ZERO, Time::MAX);
     w.telemetry = Telemetry::enabled();
     let mut e = Sim::new();
-    let flows: Vec<(MacAddr, std::net::Ipv4Addr)> = w
-        .plan
-        .tenants
-        .iter()
-        .map(|t| {
-            let c = w.spec.compartment_of_tenant(t.index) as usize;
-            (w.plan.compartments[c].in_out[0].1, t.ip)
-        })
-        .collect();
+    let flows = w.probe_flows();
     let horizon = if quick { 2_000_000 } else { 10_000_000 };
     start_udp_generator(&mut e, flows, 50_000.0, 64, Time::from_nanos(horizon));
     e.run_until(&mut w, Time::from_nanos(horizon * 3));
@@ -226,13 +234,13 @@ fn run_trace(quick: bool, trace_out: Option<&Path>, metrics_out: Option<&Path>) 
         eprintln!("repro: complete-mediation audit FAILED");
         std::process::exit(1);
     }
-    fn write_or_die(p: &Path, content: String, note: &str) {
-        if let Err(e) = fs::write(p, content) {
-            eprintln!("repro: cannot write {}: {e}", p.display());
-            std::process::exit(1);
-        }
-        eprintln!("  wrote {}{note}", p.display());
-    }
+    write_exports(rec, trace_out, metrics_out);
+}
+
+/// Writes a recorder's trace (Chrome JSON + JSONL sibling) and metrics
+/// (Prometheus text + JSONL sibling) to the requested paths; exits 1 if a
+/// file cannot be written.
+fn write_exports(rec: &Recorder, trace_out: Option<&Path>, metrics_out: Option<&Path>) {
     if let Some(p) = trace_out {
         write_or_die(p, rec.trace.to_chrome_trace(), " (open in ui.perfetto.dev)");
         write_or_die(&p.with_extension("jsonl"), rec.trace.to_jsonl(), "");
@@ -241,6 +249,14 @@ fn run_trace(quick: bool, trace_out: Option<&Path>, metrics_out: Option<&Path>) 
         write_or_die(p, rec.metrics.render_prometheus(), "");
         write_or_die(&p.with_extension("jsonl"), rec.metrics.render_jsonl(), "");
     }
+}
+
+fn write_or_die(p: &Path, content: String, note: &str) {
+    if let Err(e) = fs::write(p, content) {
+        eprintln!("repro: cannot write {}: {e}", p.display());
+        std::process::exit(1);
+    }
+    eprintln!("  wrote {}{note}", p.display());
 }
 
 /// The blast-radius and recovery panel (`ROBUSTNESS.md`), with the
@@ -343,21 +359,7 @@ fn run_faults(quick: bool, out: &PathBuf, trace_out: Option<&Path>, metrics_out:
             }
         };
         let rec = w.telemetry.recorder().expect("telemetry enabled");
-        fn write_or_die(p: &Path, content: String) {
-            if let Err(e) = fs::write(p, content) {
-                eprintln!("repro: cannot write {}: {e}", p.display());
-                std::process::exit(1);
-            }
-            eprintln!("  wrote {}", p.display());
-        }
-        if let Some(p) = trace_out {
-            write_or_die(p, rec.trace.to_chrome_trace());
-            write_or_die(&p.with_extension("jsonl"), rec.trace.to_jsonl());
-        }
-        if let Some(p) = metrics_out {
-            write_or_die(p, rec.metrics.render_prometheus());
-            write_or_die(&p.with_extension("jsonl"), rec.metrics.render_jsonl());
-        }
+        write_exports(rec, trace_out, metrics_out);
     }
 }
 
@@ -950,6 +952,13 @@ fn run_level_diffs() -> Result<usize, String> {
 
 fn main() {
     let args = parse_args();
+    if let Some(bad) = args.what.iter().find(|w| !TARGETS.contains(&w.as_str())) {
+        eprintln!(
+            "repro: unknown target `{bad}`; valid targets: {}",
+            TARGETS.join(" ")
+        );
+        std::process::exit(2);
+    }
     let opts = if args.quick {
         ReproOpts::quick()
     } else {
@@ -990,47 +999,6 @@ fn main() {
                 );
             }
             "vfcount" => println!("{}", vf_count_table()),
-            "noisy" => {
-                let mut rows = Vec::new();
-                for spec in [
-                    DeploymentSpec::baseline(
-                        DatapathKind::Kernel,
-                        ResourceMode::Shared,
-                        1,
-                        Scenario::P2v,
-                    ),
-                    DeploymentSpec::mts(
-                        SecurityLevel::Level1,
-                        DatapathKind::Kernel,
-                        ResourceMode::Shared,
-                        Scenario::P2v,
-                    ),
-                    DeploymentSpec::mts(
-                        SecurityLevel::Level2 { compartments: 2 },
-                        DatapathKind::Kernel,
-                        ResourceMode::Shared,
-                        Scenario::P2v,
-                    ),
-                    DeploymentSpec::mts(
-                        SecurityLevel::Level2 { compartments: 2 },
-                        DatapathKind::Kernel,
-                        ResourceMode::Isolated,
-                        Scenario::P2v,
-                    ),
-                    DeploymentSpec::mts(
-                        SecurityLevel::Level2 { compartments: 4 },
-                        DatapathKind::Kernel,
-                        ResourceMode::Isolated,
-                        Scenario::P2v,
-                    ),
-                ] {
-                    match perfiso::noisy_neighbor(spec, NoisyOpts::default()) {
-                        Ok(r) => rows.push(r),
-                        Err(e) => eprintln!("noisy: {e}"),
-                    }
-                }
-                println!("{}", perfiso::render(&rows));
-            }
             "isolation" => println!("{}", isolation_matrix()),
             "trace" => run_trace(
                 args.quick,
@@ -1055,10 +1023,7 @@ fn main() {
                     .plan
                     .tenants
                     .iter()
-                    .map(|t| {
-                        let c = w.spec.compartment_of_tenant(t.index) as usize;
-                        (w.plan.compartments[c].in_out[0].1, t.ip, cfg.vni(t.index))
-                    })
+                    .map(|t| (w.route_mac(t.index), t.ip, cfg.vni(t.index)))
                     .collect();
                 overlay::start_overlay_generator(
                     &mut e,
@@ -1078,45 +1043,6 @@ fn main() {
                     w.sink.per_flow
                 );
             }
-            "billing" => {
-                // Per-tenant accounting (Sec. 6) from a standard p2v run.
-                for spec in [
-                    DeploymentSpec::baseline(
-                        DatapathKind::Kernel,
-                        ResourceMode::Shared,
-                        1,
-                        Scenario::P2v,
-                    ),
-                    DeploymentSpec::mts(
-                        SecurityLevel::Level2 { compartments: 4 },
-                        DatapathKind::Kernel,
-                        ResourceMode::Isolated,
-                        Scenario::P2v,
-                    ),
-                ] {
-                    let d = Controller::deploy(spec).expect("deployable");
-                    let mut w = World::new(d, RuntimeCfg::for_spec(&spec), 1);
-                    w.sink.window = (Time::ZERO, Time::MAX);
-                    let mut e = Sim::new();
-                    let flows: Vec<(MacAddr, std::net::Ipv4Addr)> = w
-                        .plan
-                        .tenants
-                        .iter()
-                        .map(|t| {
-                            let dmac = if spec.level.compartmentalized() {
-                                let c = spec.compartment_of_tenant(t.index) as usize;
-                                w.plan.compartments[c].in_out[0].1
-                            } else {
-                                Controller::baseline_router_mac(0)
-                            };
-                            (dmac, t.ip)
-                        })
-                        .collect();
-                    start_udp_generator(&mut e, flows, 200_000.0, 64, Time::from_nanos(20_000_000));
-                    e.run_until(&mut w, Time::from_nanos(60_000_000));
-                    print!("{}", billing::bill(&w));
-                }
-            }
             "all" => {
                 run_verify();
                 run_fuzz(args.quick, &args.out);
@@ -1130,28 +1056,8 @@ fn main() {
                 println!("{}", rep.render_latency());
                 save(&args.out, "pktsize_latency.csv", &rep.to_csv());
                 run_fig6(opts, &args.out);
-                let mut rows = Vec::new();
-                for spec in [
-                    DeploymentSpec::baseline(
-                        DatapathKind::Kernel,
-                        ResourceMode::Shared,
-                        1,
-                        Scenario::P2v,
-                    ),
-                    DeploymentSpec::mts(
-                        SecurityLevel::Level2 { compartments: 2 },
-                        DatapathKind::Kernel,
-                        ResourceMode::Isolated,
-                        Scenario::P2v,
-                    ),
-                ] {
-                    if let Ok(r) = perfiso::noisy_neighbor(spec, NoisyOpts::default()) {
-                        rows.push(r);
-                    }
-                }
-                println!("{}", perfiso::render(&rows));
             }
-            other => eprintln!("unknown target: {other}"),
+            _ => unreachable!("targets are validated before any runs"),
         }
     }
 }

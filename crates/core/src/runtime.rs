@@ -19,7 +19,7 @@
 //!   → ... next hop
 //! ```
 
-use crate::controller::{Deployment, PortAttach, VswitchInstance};
+use crate::controller::{Controller, Deployment, PortAttach, VswitchInstance};
 use crate::meters::{Attribution, CycleMeters, Layer};
 use crate::spec::{DeploymentSpec, SecurityLevel};
 use crate::tcphost::TcpHostRt;
@@ -112,6 +112,19 @@ impl RuntimeCfg {
                 cfg.vswitch_irq = Dur::ZERO;
             }
         }
+        cfg
+    }
+
+    /// The calibrated config for a TCP workload run on `spec`.
+    pub fn for_workload(spec: &DeploymentSpec) -> RuntimeCfg {
+        let mut cfg = RuntimeCfg::for_spec(spec);
+        // TCP is self-clocked at high rates; the vhost drain anomaly of
+        // Sec. 4.2 only concerns low-rate UDP probing.
+        cfg.offered_pps = 1_000_000.0;
+        // TCP needs queue headroom to absorb slow-start bursts: use full
+        // virtio/VF queue depths (the shallow UDP setting would turn tail
+        // drops into constant ACK loss and RTO storms on multi-hop chains).
+        cfg.rx_ring = 1024;
         cfg
     }
 }
@@ -294,10 +307,6 @@ pub struct World {
     pub desired: Option<crate::reconcile::DesiredConfig>,
     /// Supervisor state (heartbeats, backoff, recovery log), when started.
     pub supervisor: Option<crate::supervisor::Supervisor>,
-    /// Diagnostics: worst hairpin queueing delay observed.
-    pub max_hairpin_wait: Dur,
-    /// Diagnostics: worst PCIe DMA queueing delay observed.
-    pub max_dma_wait: Dur,
     /// Optional packet capture at the tap (frames leaving the DUT).
     pub capture: Option<mts_net::pcap::PcapWriter>,
     /// Telemetry sink (disabled by default; see `mts-telemetry`).
@@ -394,7 +403,6 @@ impl Event<World> for CoreEvent {
             CoreEvent::DmaToVswitch { i, port, frame } => {
                 let now = e.now();
                 let arr = w.nic.dma(now, u64::from(frame.wire_len()));
-                w.max_dma_wait = w.max_dma_wait.max(arr - now);
                 if let Some(rec) = w.telemetry.rec() {
                     rec.metrics
                         .observe("mts_dma_wait_ns", &[], (arr - now).as_nanos());
@@ -413,7 +421,6 @@ impl Event<World> for CoreEvent {
             CoreEvent::DmaToTenant { t, side, frame } => {
                 let now = e.now();
                 let arr = w.nic.dma(now, u64::from(frame.wire_len()));
-                w.max_dma_wait = w.max_dma_wait.max(arr - now);
                 if let Some(rec) = w.telemetry.rec() {
                     rec.metrics
                         .observe("mts_dma_wait_ns", &[], (arr - now).as_nanos());
@@ -681,8 +688,6 @@ impl World {
             degraded: vec![false; spec.tenants as usize],
             desired: None,
             supervisor: None,
-            max_hairpin_wait: Dur::ZERO,
-            max_dma_wait: Dur::ZERO,
             capture: None,
             telemetry: Telemetry::disabled(),
             deltas: crate::delta::DeltaLog::default(),
@@ -692,6 +697,28 @@ impl World {
         // target after any fault (see `crate::reconcile`).
         w.desired = Some(crate::reconcile::DesiredConfig::capture(&w));
         w
+    }
+
+    /// The next-hop MAC the load generator addresses to reach tenant `t`:
+    /// the In/Out VF of `t`'s compartment on port 0, or the host router at
+    /// the Baseline. The one place LG addressing is derived from the plan.
+    pub fn route_mac(&self, t: u8) -> MacAddr {
+        if self.spec.level.compartmentalized() {
+            let c = self.spec.compartment_of_tenant(t) as usize;
+            self.plan.compartments[c].in_out[0].1
+        } else {
+            Controller::baseline_router_mac(0)
+        }
+    }
+
+    /// The probe flows: one `(next-hop MAC, tenant IP)` per tenant, in
+    /// tenant order.
+    pub fn probe_flows(&self) -> Vec<(MacAddr, std::net::Ipv4Addr)> {
+        self.plan
+            .tenants
+            .iter()
+            .map(|t| (self.route_mac(t.index), t.ip))
+            .collect()
     }
 
     /// Records a configuration delta (and its telemetry mirror). Every
@@ -1035,7 +1062,6 @@ pub fn nic_rx(w: &mut World, e: &mut Sim, pf: PfId, port: NicPort, frame: Frame)
         if d.hairpin && vm_bound {
             match w.nic.admit_hairpin(pf, t) {
                 Some(done) => {
-                    w.max_hairpin_wait = w.max_hairpin_wait.max(done - t);
                     if let Some(rec) = w.telemetry.rec() {
                         rec.metrics
                             .observe("mts_hairpin_wait_ns", &[], (done - t).as_nanos());
@@ -1747,7 +1773,6 @@ fn generator_tick(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::controller::Controller;
     use crate::spec::Scenario;
     use mts_host::ResourceMode;
 
@@ -1759,16 +1784,7 @@ mod tests {
     }
 
     fn run_probes(w: &mut World, e: &mut Sim, n: u64, rate: f64) {
-        let flows: Vec<(MacAddr, std::net::Ipv4Addr)> = w
-            .plan
-            .tenants
-            .iter()
-            .map(|t| {
-                let c = w.spec.compartment_of_tenant(t.index) as usize;
-                let dmac = w.plan.compartments[c].in_out[0].1;
-                (dmac, t.ip)
-            })
-            .collect();
+        let flows = w.probe_flows();
         let until = Time::ZERO + Dur::from_secs_f64(n as f64 / rate);
         w.sink.window = (Time::ZERO, Time::MAX);
         start_udp_generator(e, flows, rate, 64, until);
@@ -1788,6 +1804,60 @@ mod tests {
         let p50 = w.sink.latency.percentile(50.0);
         assert!(p50 > 2_000, "p50 {p50} ns too small");
         assert!(p50 < 10_000_000, "p50 {p50} ns too large");
+    }
+
+    #[test]
+    fn probe_flows_reach_every_tenant_at_every_level() {
+        for datapath in [DatapathKind::Kernel, DatapathKind::Dpdk] {
+            for scenario in [Scenario::P2v, Scenario::V2v] {
+                let mode = ResourceMode::Isolated;
+                for spec in [
+                    DeploymentSpec::baseline(datapath, mode, 1, scenario),
+                    DeploymentSpec::mts(SecurityLevel::Level1, datapath, mode, scenario),
+                    DeploymentSpec::mts(
+                        SecurityLevel::Level2 { compartments: 2 },
+                        datapath,
+                        mode,
+                        scenario,
+                    ),
+                    DeploymentSpec::mts(
+                        SecurityLevel::Level2 { compartments: 4 },
+                        datapath,
+                        mode,
+                        scenario,
+                    ),
+                ] {
+                    let d = match Controller::deploy(spec) {
+                        Ok(d) => d,
+                        // Singleton compartments have no v2v pair.
+                        Err(crate::controller::DeployError::Unsupported(_))
+                            if scenario == Scenario::V2v && spec.compartments() == 4 =>
+                        {
+                            continue
+                        }
+                        Err(e) => panic!("{}: {e}", spec.label()),
+                    };
+                    let mut w = World::new(d, RuntimeCfg::for_spec(&spec), 3);
+                    let mut e = Sim::new();
+                    run_probes(&mut w, &mut e, 80, 10_000.0);
+                    let label = format!("{} {}", spec.label(), scenario.label());
+                    assert_eq!(w.sink.per_flow.len(), usize::from(spec.tenants), "{label}");
+                    assert!(
+                        w.sink.per_flow.iter().all(|&c| c > 0),
+                        "{label}: {:?}, drops {:?}",
+                        w.sink.per_flow,
+                        w.drops
+                    );
+                    assert_eq!(w.sink.sent, 80, "{label}");
+                    assert_eq!(
+                        w.sink.sent,
+                        w.sink.received + w.total_drops(),
+                        "{label}: drops {:?}",
+                        w.drops
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1836,12 +1906,7 @@ mod tests {
         let cfg = RuntimeCfg::for_spec(&spec);
         let mut w = World::new(d, cfg, 7);
         let mut e = Sim::new();
-        let flows: Vec<(MacAddr, std::net::Ipv4Addr)> = w
-            .plan
-            .tenants
-            .iter()
-            .map(|t| (Controller::baseline_router_mac(0), t.ip))
-            .collect();
+        let flows = w.probe_flows();
         w.sink.window = (Time::ZERO, Time::MAX);
         start_udp_generator(&mut e, flows, 10_000.0, 64, Time::from_nanos(5_000_000));
         e.run(&mut w);

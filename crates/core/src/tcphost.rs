@@ -628,7 +628,6 @@ fn dispatch_frame(w: &mut World, e: &mut Sim, attach: HostAttach, frame: Frame) 
         HostAttach::Wire(pf) => wire_inject(w, e, pf, frame),
         HostAttach::Vf(pf, vf) => {
             let arr = w.nic.dma(e.now(), u64::from(frame.wire_len()));
-            w.max_dma_wait = w.max_dma_wait.max(arr - e.now());
             e.schedule_at(arr, move |w, e| nic_rx(w, e, pf, NicPort::Vf(vf), frame));
         }
         HostAttach::Vhost(tenant, side) => {
@@ -762,20 +761,11 @@ pub fn add_lg_client(
         rng,
     );
     host.routes = routes;
-    host.default_route = w
-        .plan
-        .compartments
-        .first()
-        .map(|c| c.in_out[0].1)
-        .unwrap_or_else(|| crate::controller::Controller::baseline_router_mac(0));
+    host.default_route = w.route_mac(0);
     let h = w.hosts.len();
     w.hosts.push(host);
     h
 }
-
-/// Wires the v2v forwarder attachment: in workload v2v mode the forwarder
-/// tenant keeps its l2fwd role, but its next hop is the *server* path.
-pub fn dummy() {}
 
 /// Snapshots every host's TCP connection statistics into the telemetry
 /// metrics registry (labelled by `host` name). Connection stats are
@@ -859,7 +849,7 @@ mod tests {
             Dur::nanos(1_500),
         );
         let server_ip = w.plan.tenants[0].ip;
-        let comp_mac = w.plan.compartments[0].in_out[0].1;
+        let comp_mac = w.route_mac(0);
         let lg_ip = w.plan.lg_ip;
         add_lg_client(
             &mut w,
@@ -931,7 +921,7 @@ mod tests {
         let (mut w, mut e) = iperf_world(SecurityLevel::Level1);
         // Client connects to a port nobody listens on.
         let server_ip = w.plan.tenants[0].ip;
-        let comp_mac = w.plan.compartments[0].in_out[0].1;
+        let comp_mac = w.route_mac(0);
         let h = add_lg_client(
             &mut w,
             "stray",

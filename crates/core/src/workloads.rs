@@ -15,7 +15,6 @@ use mts_apps::http::{HTTP_PORT, RESPONSE_BYTES};
 use mts_apps::iperf::IPERF_PORT;
 use mts_apps::memcached::MEMCACHED_PORT;
 use mts_apps::{AbClient, HttpServer, IperfClient, IperfServer, MemcachedServer, MemslapClient};
-use mts_net::MacAddr;
 use mts_sim::{mean_ci95, Dur, Summary, Time};
 use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
@@ -117,15 +116,7 @@ pub fn run_workload(
     opts: WorkloadOpts,
 ) -> Result<WorkloadResult, DeployError> {
     let d = Controller::deploy_workload(spec)?;
-    let mut cfg = RuntimeCfg::for_spec(&spec);
-    // TCP is self-clocked at high rates; the vhost drain anomaly of
-    // Sec. 4.2 only concerns low-rate UDP probing.
-    cfg.offered_pps = 1_000_000.0;
-    // TCP needs queue headroom to absorb slow-start bursts: use full
-    // virtio/VF queue depths (the shallow UDP setting would turn tail
-    // drops into constant ACK loss and RTO storms on multi-hop chains).
-    cfg.rx_ring = 1024;
-    let mut w = World::new(d, cfg, opts.seed);
+    let mut w = World::new(d, RuntimeCfg::for_workload(&spec), opts.seed);
     let mut e = Sim::new();
 
     // Which tenants run servers: all in p2v; the second of each pair in
@@ -167,7 +158,7 @@ pub fn run_workload(
     let mut clients = Vec::new();
     for (i, &t) in server_tenants.iter().enumerate() {
         let server_ip = w.plan.tenants[t as usize].ip;
-        let dmac = route_mac(&w, t);
+        let dmac = w.route_mac(t);
         let client_ip = Ipv4Addr::new(10, 255, 0, 10 + i as u8);
         let name = format!("client-{}", i);
         let app: Box<dyn mts_apps::App> = match workload {
@@ -258,16 +249,6 @@ pub fn combine_repeated(runs: Vec<WorkloadResult>) -> WorkloadResult {
     out.throughput = mean;
     out.ci95 = half;
     out
-}
-
-/// The next-hop MAC the LG uses to reach tenant `t`'s service.
-fn route_mac(w: &World, t: u8) -> MacAddr {
-    if w.spec.level.compartmentalized() {
-        let c = w.spec.compartment_of_tenant(t) as usize;
-        w.plan.compartments[c].in_out[0].1
-    } else {
-        Controller::baseline_router_mac(0)
-    }
 }
 
 /// Sanity upper bound: the HTTP response fits the measurement model.

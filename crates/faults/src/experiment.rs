@@ -23,11 +23,9 @@ use mts_core::spec::{DeploymentSpec, Scenario, SecurityLevel};
 use mts_core::supervisor::{start_supervisor, RecoveryKind, SupervisorCfg};
 use mts_host::ResourceMode;
 use mts_isocheck::IncrementalChecker;
-use mts_net::MacAddr;
 use mts_sim::{Dur, Time};
 use mts_vswitch::DatapathKind;
 use std::fmt;
-use std::net::Ipv4Addr;
 
 /// Parameters of one blast-radius run.
 #[derive(Clone, Copy, Debug)]
@@ -223,23 +221,6 @@ pub struct BlastCell {
     pub isocheck_violations: Option<usize>,
 }
 
-/// The probe flows, one per tenant (same addressing as the testbed).
-fn tenant_flows(w: &World) -> Vec<(MacAddr, Ipv4Addr)> {
-    w.plan
-        .tenants
-        .iter()
-        .map(|t| {
-            let dmac = if w.spec.level.compartmentalized() {
-                let c = w.spec.compartment_of_tenant(t.index) as usize;
-                w.plan.compartments[c].in_out[0].1
-            } else {
-                Controller::baseline_router_mac(0)
-            };
-            (dmac, t.ip)
-        })
-        .collect()
-}
-
 /// Runs one deployment under one fault plan; returns the settled world
 /// (supervisor log inside).
 fn run_once(spec: DeploymentSpec, plan: &FaultPlan, opts: FaultOpts) -> Result<World, DeployError> {
@@ -280,7 +261,7 @@ fn run_inner(
         ..SupervisorCfg::default()
     };
     start_supervisor(&mut w, &mut e, sup);
-    start_udp_generator(&mut e, tenant_flows(&w), opts.rate_pps, opts.wire_len, end);
+    start_udp_generator(&mut e, w.probe_flows(), opts.rate_pps, opts.wire_len, end);
     inject::schedule(plan, &mut e);
     e.run_until(&mut w, end + opts.drain);
     e.clear();

@@ -178,20 +178,7 @@ where
     where
         F: FnOnce(&mut W, &mut Engine<W, E>) + 'static,
     {
-        self.schedule_at_tagged(at, UNTAGGED_EVENT, event)
-    }
-
-    /// Schedules `event` at `at` under a dispatch-count tag.
-    ///
-    /// The tag groups events in [`Engine::dispatch_counts`] ("nic.rx",
-    /// "vswitch.exec", ...). Semantics are otherwise identical to
-    /// [`Engine::schedule_at`].
-    pub fn schedule_at_tagged<F>(&mut self, at: Time, kind: &'static str, event: F) -> EventId
-    where
-        F: FnOnce(&mut W, &mut Engine<W, E>) + 'static,
-    {
-        let kind = self.kind_id(kind);
-        self.schedule_raw(at, kind, E::from(Box::new(event)))
+        self.schedule_event(at, UNTAGGED_EVENT, E::from(Box::new(event)))
     }
 
     /// Schedules `event` to fire `delay` after the current time.
@@ -200,26 +187,6 @@ where
         F: FnOnce(&mut W, &mut Engine<W, E>) + 'static,
     {
         self.schedule_at(self.now + delay, event)
-    }
-
-    /// Schedules a batch of events at the same instant under one tag.
-    ///
-    /// Equivalent to calling [`Engine::schedule_at_tagged`] once per event
-    /// (they fire in iteration order), but resolves the tag once and grows
-    /// the slab in one reallocation when the batch size is known up front.
-    pub fn schedule_batch<F, I>(&mut self, at: Time, kind: &'static str, events: I)
-    where
-        F: FnOnce(&mut W, &mut Engine<W, E>) + 'static,
-        I: IntoIterator<Item = F>,
-    {
-        let kind = self.kind_id(kind);
-        let it = events.into_iter();
-        let (lower, _) = it.size_hint();
-        let need = lower.saturating_sub(self.free.len());
-        self.slots.reserve(need);
-        for event in it {
-            self.schedule_raw(at, kind, E::from(Box::new(event)));
-        }
     }
 }
 
@@ -261,8 +228,8 @@ impl<W, E: Event<W>> Engine<W, E> {
 
     /// Fired-event counts per event kind, in kind order.
     ///
-    /// Events scheduled through [`Engine::schedule_at_tagged`] count under
-    /// their tag; everything else under [`UNTAGGED_EVENT`]. This is the
+    /// Events scheduled through [`Engine::schedule_event`] count under
+    /// their tag; closures under [`UNTAGGED_EVENT`]. This is the
     /// self-profiler's per-event-type dispatch breakdown.
     pub fn dispatch_counts(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         let mut v: Vec<(&'static str, u64)> = self
@@ -281,8 +248,9 @@ impl<W, E: Event<W>> Engine<W, E> {
 
     /// Schedules a typed event at `at` under a dispatch-count tag.
     ///
-    /// The hot-path twin of [`Engine::schedule_at_tagged`]: the event
-    /// payload is stored inline in the slab slot, no boxing involved.
+    /// The tag groups events in [`Engine::dispatch_counts`] ("nic.rx",
+    /// "vswitch.exec", ...). The event payload is stored inline in the
+    /// slab slot, no boxing involved.
     pub fn schedule_event(&mut self, at: Time, kind: &'static str, event: E) -> EventId {
         let kind = self.kind_id(kind);
         self.schedule_raw(at, kind, event)
@@ -594,6 +562,11 @@ impl<W, E: Event<W>> Engine<W, E> {
 mod tests {
     use super::*;
 
+    /// A closure as a [`Boxed`] event, for scheduling under a tag.
+    fn boxed<W>(f: impl FnOnce(&mut W, &mut Engine<W>) + 'static) -> Boxed<W> {
+        Boxed(Box::new(f))
+    }
+
     #[test]
     fn events_fire_in_time_order() {
         let mut e: Engine<Vec<u32>> = Engine::new();
@@ -672,11 +645,17 @@ mod tests {
     fn dispatch_counts_group_by_tag() {
         let mut e: Engine<u32> = Engine::new();
         for i in 0..5u64 {
-            e.schedule_at_tagged(Time::from_nanos(i), "nic.rx", |w: &mut u32, _| *w += 1);
+            e.schedule_event(
+                Time::from_nanos(i),
+                "nic.rx",
+                boxed(|w: &mut u32, _| *w += 1),
+            );
         }
-        e.schedule_at_tagged(Time::from_nanos(9), "vswitch.exec", |w: &mut u32, _| {
-            *w += 1
-        });
+        e.schedule_event(
+            Time::from_nanos(9),
+            "vswitch.exec",
+            boxed(|w: &mut u32, _| *w += 1),
+        );
         e.schedule_at(Time::from_nanos(10), |w: &mut u32, _| *w += 1);
         let mut w = 0u32;
         e.run(&mut w);
@@ -773,22 +752,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_batch_preserves_iteration_order_and_tags() {
-        let mut e: Engine<Vec<u32>> = Engine::new();
-        let mut w = Vec::new();
-        e.schedule_batch(
-            Time::from_nanos(7),
-            "batch.ev",
-            (0..40).map(|i| move |w: &mut Vec<u32>, _: &mut Engine<Vec<u32>>| w.push(i)),
-        );
-        assert_eq!(e.pending(), 40);
-        e.run(&mut w);
-        assert_eq!(w, (0..40).collect::<Vec<_>>());
-        let counts: Vec<_> = e.dispatch_counts().collect();
-        assert_eq!(counts, vec![("batch.ev", 40)]);
-    }
-
-    #[test]
     fn run_for_advances_relative_to_now() {
         let mut e: Engine<Vec<u32>> = Engine::new();
         let mut w = Vec::new();
@@ -809,11 +772,12 @@ mod tests {
         let mut e: Engine<Vec<u64>> = Engine::new();
         let mut w = Vec::new();
         for _ in 0..10 {
-            e.schedule_at_tagged(Time::from_nanos(3), "tick", |w: &mut Vec<u64>, e| {
+            let tick = boxed(|w: &mut Vec<u64>, e| {
                 let n: u64 = e.dispatch_counts().map(|(_, v)| v).sum();
                 assert_eq!(n, e.events_fired());
                 w.push(n);
             });
+            e.schedule_event(Time::from_nanos(3), "tick", tick);
         }
         e.run(&mut w);
         assert_eq!(w, (1..=10).collect::<Vec<_>>());
@@ -977,7 +941,8 @@ mod tests {
         let mut e: Engine<Vec<u32>, Ev> = Engine::new();
         let mut w = Vec::new();
         e.schedule_event(Time::from_nanos(5), "push", Ev::Push(1));
-        e.schedule_at_tagged(Time::from_nanos(5), "call", |w: &mut Vec<u32>, _| w.push(2));
+        let call: EventFn<Vec<u32>, Ev> = Box::new(|w, _| w.push(2));
+        e.schedule_event(Time::from_nanos(5), "call", Ev::Call(call));
         e.schedule_event(Time::from_nanos(5), "push", Ev::Push(3));
         e.run(&mut w);
         // The mid-burst typed follow-up (99) lands after everything queued

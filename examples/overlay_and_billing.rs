@@ -8,14 +8,12 @@
 use mts::core::billing;
 use mts::core::controller::Controller;
 use mts::core::overlay::{install_overlay_rules, start_overlay_generator, OverlayConfig};
-use mts::core::perfiso::{self, NoisyOpts};
+use mts::core::perfiso::{noisy_matrix, render_matrix, NoisyOpts};
 use mts::core::runtime::{RuntimeCfg, Sim, World};
 use mts::core::spec::{DeploymentSpec, Scenario, SecurityLevel};
 use mts::host::ResourceMode;
-use mts::net::{MacAddr, Vni};
 use mts::sim::Time;
 use mts::vswitch::DatapathKind;
-use std::net::Ipv4Addr;
 
 fn main() {
     // --- 1. VXLAN overlay: tenants reached through per-tenant tunnels. ---
@@ -31,18 +29,11 @@ fn main() {
     let mut w = World::new(d, RuntimeCfg::for_spec(&spec), 7);
     w.sink.window = (Time::ZERO, Time::MAX);
     let mut e = Sim::new();
-    let flows: Vec<(MacAddr, Ipv4Addr, Vni)> = w
+    let flows: Vec<_> = w
         .plan
         .tenants
         .iter()
-        .map(|t| {
-            let c = w.spec.compartment_of_tenant(t.index) as usize;
-            (
-                w.plan.compartments[c].in_out[0].1,
-                t.ip,
-                overlay.vni(t.index),
-            )
-        })
+        .map(|t| (w.route_mac(t.index), t.ip, overlay.vni(t.index)))
         .collect();
     println!(
         "=== VXLAN overlay (per-tenant VNIs {}..) ===",
@@ -69,9 +60,9 @@ fn main() {
     print!("{}", billing::bill(&w));
 
     // --- 3. Noisy neighbor: performance isolation under a flooding tenant.
-    println!("=== Noisy neighbor (tenant 0 floods, tenant 1 measured) ===");
+    println!("=== Noisy neighbor (tenant 0 floods, every other tenant measured) ===");
     let opts = NoisyOpts::default();
-    let mut rows = Vec::new();
+    let mut cells = Vec::new();
     for spec in [
         DeploymentSpec::baseline(DatapathKind::Kernel, ResourceMode::Shared, 1, Scenario::P2v),
         DeploymentSpec::mts(
@@ -87,10 +78,10 @@ fn main() {
             Scenario::P2v,
         ),
     ] {
-        rows.push(perfiso::noisy_neighbor(spec, opts).expect("experiment runs"));
+        cells.extend(noisy_matrix(spec, opts).expect("experiment runs"));
     }
-    print!("{}", perfiso::render(&rows));
-    println!("\nThe Baseline's victim shares the flooded datapath; MTS Level-2");
-    println!("isolated gives the victim its own vswitch VM and core, so the");
+    print!("{}", render_matrix(&cells));
+    println!("\nThe Baseline's victims share the flooded datapath; MTS Level-2");
+    println!("isolated gives each victim its own vswitch VM and core, so the");
     println!("attack barely registers — the paper's performance-isolation case.");
 }

@@ -29,15 +29,7 @@ fn build(
     if telemetry {
         w.telemetry = Telemetry::enabled();
     }
-    let flows = w
-        .plan
-        .tenants
-        .iter()
-        .map(|t| {
-            let c = w.spec.compartment_of_tenant(t.index) as usize;
-            (w.plan.compartments[c].in_out[0].1, t.ip)
-        })
-        .collect();
+    let flows = w.probe_flows();
     (w, Sim::new(), flows)
 }
 
